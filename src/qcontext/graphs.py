@@ -6,14 +6,16 @@ pentagon for n=5 and, for n >= 6, a fixed construction with two complete
 blocks V_A and V_B, an extra edge (2, n), and vertex 1 adjacent to everything
 except 2 and n.  The construction keeps the independence number (the
 classical bound of the inequality) pinned at 2 for every n.
+
+Clique searches run on integer adjacency bitmasks (bit v set for neighbor
+v), which is plenty for graphs of a few dozen vertices.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-
-import networkx as nx
+from typing import Iterator
 
 _EXACT_SEARCH_LIMIT = 30
 
@@ -46,12 +48,6 @@ class ExclusivityGraph:
 
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
-
-    def as_networkx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(1, self.n_vertices + 1))
-        g.add_edges_from(self.edges)
-        return g
 
     def as_dict(self) -> dict:
         return {"n": self.n_vertices, "edges": sorted([a, b] for a, b in self.edges)}
@@ -95,10 +91,47 @@ def build_graph(n: int) -> ExclusivityGraph:
     return ExclusivityGraph(n, frozenset(edges))
 
 
+def _adjacency(g: ExclusivityGraph) -> list[int]:
+    """Neighbor bitmask per vertex, indexed by vertex (index 0 unused)."""
+    adj = [0] * (g.n_vertices + 1)
+    for a, b in g.edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _maximal_cliques(adj: list[int]) -> Iterator[int]:
+    """Every maximal clique once, as a vertex bitmask.
+
+    Bron-Kerbosch with Tomita pivoting: expanding only candidates outside
+    the pivot's neighborhood, with the pivot chosen to maximize that
+    neighborhood, skips cliques that some other branch reports.
+    """
+
+    def expand(clique: int, cand: int, done: int) -> Iterator[int]:
+        if not cand:
+            if not done:
+                yield clique
+            return
+        pivot = max(_bits(cand | done), key=lambda u: (cand & adj[u]).bit_count())
+        for v in _bits(cand & ~adj[pivot]):
+            yield from expand(clique | 1 << v, cand & adj[v], done & adj[v])
+            cand &= ~(1 << v)
+            done |= 1 << v
+
+    return expand(0, (1 << len(adj)) - 2, 0)
+
+
 def enumerate_contexts(g: ExclusivityGraph) -> ContextSet:
     """Enumerate all maximal cliques, sorted, with multiplicities k_i."""
-    cliques = [tuple(sorted(c)) for c in nx.find_cliques(g.as_networkx())]
-    cliques.sort()
+    cliques = sorted(tuple(_bits(c)) for c in _maximal_cliques(_adjacency(g)))
     mult = {v: 0 for v in range(1, g.n_vertices + 1)}
     for c in cliques:
         for v in c:
@@ -112,8 +145,10 @@ def independence_number(g: ExclusivityGraph) -> int:
         raise ValueError(
             f"exact search limited to {_EXACT_SEARCH_LIMIT} vertices, got {g.n_vertices}"
         )
-    complement = nx.complement(g.as_networkx())
-    return max(len(c) for c in nx.find_cliques(complement))
+    adj = _adjacency(g)
+    everyone = (1 << len(adj)) - 2
+    complement = [0] + [everyone & ~adj[v] & ~(1 << v) for v in range(1, len(adj))]
+    return max(c.bit_count() for c in _maximal_cliques(complement))
 
 
 def ofnc_penalty_denominator(cs: ContextSet) -> int:

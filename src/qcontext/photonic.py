@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,17 +43,16 @@ class DelaySchedule:
         values = list(self.assignments.values())
         if any(not isinstance(v, int) or v <= 0 for v in values):
             raise ValueError(f"delays must be positive integers, got {values}")
-        for i, v in enumerate(values):
-            others = values[:i] + values[i + 1 :]
-            sums = {
-                sum(combo)
-                for r in range(1, len(others) + 1)
-                for combo in itertools.combinations(others, r)
-            }
-            if v in sums:
+        # A subset summing to v holds only delays <= v, so in ascending order
+        # every such subset is made of delays already seen.
+        reachable = {0}
+        top = max(values, default=0)
+        for v in sorted(values):
+            if v in reachable:
                 raise ValueError(
                     f"delay {v} equals a subset sum of the others; masks would be ambiguous"
                 )
+            reachable |= {s + v for s in reachable if s + v <= top}
 
     def bind(self, context: Sequence[int]) -> dict[int, int]:
         """Assign delays to the non-final vertices of an ordered context."""
@@ -142,12 +142,16 @@ def _decode_distribution(
     return decoded
 
 
+@lru_cache(maxsize=None)
+def _context_sets(n: int) -> frozenset[frozenset[int]]:
+    return frozenset(frozenset(c) for c in enumerate_contexts(build_graph(n)).contexts)
+
+
 def _validate_context(ms: MeasurementSet, context: Sequence[int]) -> tuple[int, ...]:
     context = tuple(int(v) for v in context)
     if len(set(context)) != len(context):
         raise ValueError(f"context {context} repeats a vertex")
-    valid = {frozenset(c) for c in enumerate_contexts(build_graph(ms.n)).contexts}
-    if frozenset(context) not in valid:
+    if frozenset(context) not in _context_sets(ms.n):
         raise ValueError(f"{context} is not a context of the n={ms.n} graph")
     return context
 
@@ -298,6 +302,8 @@ def beta_from_runs(
             return runs[idx].decoded[_outcome_key(vertex)]
         c = counts[idx]
         clicks = sum(v for k, v in c.items() if k != NO_CLICK)
+        if not clicks:
+            raise ValueError(f"run {idx} (context {runs[idx].context}) has no clicks")
         return c[_outcome_key(vertex)] / clicks
 
     beta = 0.0

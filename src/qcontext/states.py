@@ -1,53 +1,93 @@
 """Quantum states and rank-one measurement vectors for the n=5 and n=6 tests.
 
-The vectors are stored as exact symbolic constants (integers and square
-roots) and evaluated to floating point once, so tests can pin closed forms
-and the squared overlaps stay exact rationals.  Density matrices are the
-input currency of `beta_value` so the decoherence layer can reuse it on
-mixed states unchanged.
+Every published vector is exact: its entries have the form +-sqrt(a/d) with
+integers a and d.  Each vector is stored as d plus its signed integers a, so
+(sqrt2, 1, 1, sqrt2)/sqrt6 is (6, (2, 1, 1, 2)), and evaluated to floating
+point once.  The squared overlaps are then exact rationals that tests can
+pin.  Density matrices are the input currency of `beta_value` so the
+decoherence layer can reuse it on mixed states unchanged.
 """
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
-import sympy as sp
 
 from .graphs import build_graph, classical_bound
 
 _HERM_TOL = 1e-10
 
+# (d, (a_1, ..., a_dim)): the vector with entries sign(a_k) * sqrt(|a_k| / d).
+_Vector = tuple[int, tuple[int, ...]]
 
-def _exact_vectors(n: int) -> tuple[sp.Matrix, dict[int, sp.Matrix]]:
-    r2, r3, r6 = sp.sqrt(2), sp.sqrt(3), sp.sqrt(6)
+
+def _exact_vectors(n: int) -> tuple[_Vector, dict[int, _Vector]]:
     if n == 5:
-        eta = sp.Matrix([1, 1, 1]) / r3
+        eta = (3, (1, 1, 1))
         vectors = {
-            1: sp.Matrix([1, -1, 1]) / r3,
-            2: sp.Matrix([1, 1, 0]) / r2,
-            3: sp.Matrix([0, 0, 1]),
-            4: sp.Matrix([1, 0, 0]),
-            5: sp.Matrix([0, 1, 1]) / r2,
+            1: (3, (1, -1, 1)),
+            2: (2, (1, 1, 0)),
+            3: (1, (0, 0, 1)),
+            4: (1, (1, 0, 0)),
+            5: (2, (0, 1, 1)),
         }
     elif n == 6:
-        eta = sp.Matrix([r2, 1, 1, r2]) / r6
+        eta = (6, (2, 1, 1, 2))
         vectors = {
-            1: sp.Matrix([-r2, 1, 1, -r2]) / r6,
-            2: sp.Matrix([1, 0, 0, 0]),
-            3: sp.Matrix([0, 1, 1, r2]) / 2,
-            4: sp.Matrix([0, -1, 1, 0]) / r2,
-            5: sp.Matrix([r2, 1, 1, 0]) / 2,
-            6: sp.Matrix([0, 0, 0, 1]),
+            1: (6, (-2, 1, 1, -2)),
+            2: (1, (1, 0, 0, 0)),
+            3: (4, (0, 1, 1, 2)),
+            4: (2, (0, -1, 1, 0)),
+            5: (4, (2, 1, 1, 0)),
+            6: (1, (0, 0, 0, 1)),
         }
     else:
         raise ValueError(f"no published measurement vectors for n={n}")
     return eta, vectors
 
 
-def _to_float(vec: sp.Matrix) -> np.ndarray:
-    return np.array([float(x) for x in vec], dtype=float)
+def _to_float(vec: _Vector) -> np.ndarray:
+    # For every published entry, sign * sqrt(|a| / d) equals the exact closed
+    # form rounded once, bit for bit; sqrt(|a|) / sqrt(d) is one ulp off for
+    # some of them.
+    d, squares = vec
+    out = np.array([math.copysign(math.sqrt(abs(a) / d), a) for a in squares])
+    out.setflags(write=False)
+    return out
+
+
+def _split_square(k: int) -> tuple[int, int]:
+    """Write k >= 1 as c * c * m with m square-free; returns (c, m)."""
+    c, m, f = 1, 1, 2
+    while f * f <= k:
+        while k % (f * f) == 0:
+            k //= f * f
+            c *= f
+        if k % f == 0:
+            k //= f
+            m *= f
+        f += 1
+    return c, m * k
+
+
+def _overlap(u: _Vector, v: _Vector) -> dict[int, int]:
+    """Exact <u|v> * sqrt(d_u * d_v) as {m: c}: the sum of c * sqrt(m), m square-free.
+
+    Each term sign * sqrt(|a * b|) is rewritten as c * sqrt(m) and the terms
+    are summed per m; zero sums are dropped.
+    """
+    groups: dict[int, int] = defaultdict(int)
+    for a, b in zip(u[1], v[1]):
+        if a and b:
+            c, m = _split_square(abs(a * b))
+            groups[m] += c if a * b > 0 else -c
+    return {m: c for m, c in groups.items() if c}
 
 
 @dataclass(frozen=True)
@@ -57,7 +97,7 @@ class MeasurementSet:
     n: int
     dim: int
     state: np.ndarray
-    vectors: dict[int, np.ndarray]
+    vectors: Mapping[int, np.ndarray]
 
     def projector(self, vertex: int) -> np.ndarray:
         v = self.vectors[vertex]
@@ -87,13 +127,17 @@ class BoundsReport:
 
 @lru_cache(maxsize=None)
 def builtin_measurements(n: int) -> MeasurementSet:
-    """The published vector sets: d=3 for n=5, d=4 for n=6."""
+    """The published vector sets: d=3 for n=5, d=4 for n=6.
+
+    The result is cached and shared, so its arrays and vector mapping are
+    read-only.
+    """
     eta, vectors = _exact_vectors(n)
     return MeasurementSet(
         n=n,
-        dim=len(eta),
+        dim=len(eta[1]),
         state=_to_float(eta),
-        vectors={i: _to_float(v) for i, v in vectors.items()},
+        vectors=MappingProxyType({i: _to_float(v) for i, v in vectors.items()}),
     )
 
 
@@ -129,11 +173,16 @@ def per_vertex_exact(n: int) -> dict[int, Fraction]:
     eta, vectors = _exact_vectors(n)
     out = {}
     for i, v in vectors.items():
-        p = sp.simplify((v.T * eta)[0, 0] ** 2)
-        p = sp.nsimplify(p, rational=True)
-        if not p.is_Rational:
-            raise RuntimeError(f"overlap for vertex {i} did not reduce to a rational: {p}")
-        out[i] = Fraction(int(p.p), int(p.q))
+        terms = _overlap(v, eta)
+        # square roots of distinct square-free integers are linearly
+        # independent over the rationals, so only one group may survive
+        if len(terms) > 1:
+            text = " + ".join(f"{c}*sqrt({m})" for m, c in sorted(terms.items()))
+            raise RuntimeError(
+                f"overlap for vertex {i} did not reduce to a rational: "
+                f"({text})**2/{v[0] * eta[0]}"
+            )
+        out[i] = Fraction(sum(c * c * m for m, c in terms.items()), v[0] * eta[0])
     return out
 
 

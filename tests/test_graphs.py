@@ -1,8 +1,8 @@
 """Graph family, maximal cliques, and the exact classical bound.
 
-The library side uses networkx; every structural claim here is checked
-against a brute-force bitmask enumeration, which is trivially correct for
-the sizes in play (n <= 12, so 4096 subsets).
+The library side runs a pivoting Bron-Kerbosch search; every structural
+claim here is checked against a brute-force bitmask enumeration, which is
+trivially correct for the sizes in play (n <= 12, so 4096 subsets).
 """
 from __future__ import annotations
 

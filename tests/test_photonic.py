@@ -56,6 +56,17 @@ def test_ambiguous_delays_rejected():
     DelaySchedule({1: 1, 2: 2, 3: 4, 4: 8})  # fine
 
 
+def test_long_schedules_check_quickly():
+    # 20 powers of two: every subset sum is distinct; enumerating all
+    # 2^19 subsets per delay took seconds
+    DelaySchedule({slot: 2 ** (slot - 1) for slot in range(1, 21)})
+    DelaySchedule({1: 3, 2: 5, 3: 7})  # no sum of two reaches 7, not superincreasing
+    with pytest.raises(ValueError, match="delay 3 equals a subset sum"):
+        DelaySchedule({1: 1, 2: 2, 3: 3})
+    with pytest.raises(ValueError, match="delay 12 equals a subset sum"):
+        DelaySchedule({1: 12, 2: 5, 3: 4, 4: 3})  # 12 = 5 + 4 + 3
+
+
 def test_bind_by_slot_and_by_vertex():
     sched = make_schedule(3)
     assert sched.bind((2, 4, 6)) == {2: 1, 4: 2}
@@ -240,6 +251,17 @@ def test_no_click_shots_are_discarded():
     beta = beta_from_runs(runs, counts)
     assert beta == pytest.approx(2 + 1 / 9, abs=1e-4)
     assert abs(beta - (2 + 1 / 9)) < abs((60 / 100 - 2 / 3) / 2)
+
+
+def test_beta_from_runs_rejects_runs_without_clicks():
+    runs = runs_for(5)
+    counts = [
+        {key: int(round(90_000 * p)) for key, p in r.decoded.items()} | {NO_CLICK: 0}
+        for r in runs
+    ]
+    counts[2] = dict.fromkeys(counts[2], 0) | {NO_CLICK: 100}
+    with pytest.raises(ValueError, match=r"run 2 \(context \(2, 3\)\) has no clicks"):
+        beta_from_runs(runs, counts)
 
 
 def test_beta_from_runs_coverage_checks():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qcontext import states
 from qcontext.graphs import build_graph
 from qcontext.states import (
     beta_quantum_exact,
@@ -107,6 +108,27 @@ def test_bad_density_matrices_rejected():
     neg = np.diag([1.5, -0.5, 0.0])
     with pytest.raises(ValueError, match="positive semidefinite"):
         beta_value(ms, neg)
+
+
+def test_irrational_overlap_is_reported(monkeypatch):
+    # <v|eta> = (1 + sqrt3)/sqrt8: two square-free groups
+    vectors = ((4, (1, 3)), {1: (2, (1, 1))})
+    monkeypatch.setattr(states, "_exact_vectors", lambda n: vectors)
+    with pytest.raises(RuntimeError, match="did not reduce to a rational"):
+        per_vertex_exact.__wrapped__(7)
+
+
+def test_builtin_measurements_are_read_only():
+    # the set is cached, so a write would corrupt every later caller
+    ms = builtin_measurements(6)
+    with pytest.raises(ValueError, match="read-only"):
+        ms.state[0] = 0.0
+    for v in ms.vectors.values():
+        with pytest.raises(ValueError, match="read-only"):
+            v *= 2
+    with pytest.raises(TypeError):
+        ms.vectors[1] = np.zeros(4)
+    assert builtin_measurements(6).vectors[2].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_unknown_n_rejected():
