@@ -130,6 +130,8 @@ def cmd_ofnc(args: argparse.Namespace) -> str:
         "binding_vertex": threshold.binding_vertex,
         "binding_phi": _branch_label(threshold.binding_phi),
         "solver_tolerance": threshold.solver_tolerance,
+        "bracket": list(threshold.bracket),
+        "evaluations": threshold.evaluations,
         "curves": [
             {
                 "vertex": c.vertex,

@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .interferometer import InterferometerCircuit, builtin_circuits, compose
+from .interferometer import InterferometerCircuit, PathPermutation, builtin_circuits
 from .states import builtin_measurements
 
 _PROJ_TOL = 1e-10
@@ -52,11 +52,23 @@ class DistanceCurve:
 
 @dataclass(frozen=True)
 class ThresholdResult:
+    """delta_th with how it was reached.
+
+    `solver_tolerance` is the accuracy the solver promises for delta_th;
+    `bracket` is the final (lo, hi) of the bisection, the accuracy it
+    achieved (hi - lo <= 1e-7, lo <= delta_th <= hi).  `evaluations` counts
+    the delta values at which the worst-branch distance was computed: the
+    probe grid plus one per bisection step.  The binding vertex and branch
+    attain the worst distance at hi.
+    """
+
     delta_th: float
     epsilon_used: float
     binding_vertex: int
     binding_phi: tuple[int, ...]
     solver_tolerance: float
+    bracket: tuple[float, float]
+    evaluations: int
 
 
 def projector_distance(p_ideal: np.ndarray, u_noisy: np.ndarray) -> float:
@@ -97,36 +109,67 @@ def epsilon_bound(
     )
 
 
-def _vertex_distance(
-    circuit: InterferometerCircuit,
-    projector: np.ndarray,
-    delta: float,
-    branch: Sequence[int],
-) -> float:
-    phis = dict(enumerate(branch))
-    return projector_distance(projector, compose(circuit, delta, phis))
+def _branches(k: int) -> np.ndarray:
+    """Every sign assignment of k splitters as a (2**k, k) array of 0/1 flags."""
+    return np.array(list(itertools.product((0, 1), repeat=k)), dtype=int).reshape(2**k, k)
 
 
-def _all_branches(k: int) -> Iterable[tuple[int, ...]]:
-    return itertools.product((0, 1), repeat=k)
+def _first_rows(
+    circuit: InterferometerCircuit, deltas: np.ndarray, branches: np.ndarray
+) -> np.ndarray:
+    """First row e0^T L_m ... L_1 of every noisy cascade, shape (dim, branches, deltas).
 
-
-def _max_distance(
-    circuits: dict[int, InterferometerCircuit],
-    projectors: dict[int, np.ndarray],
-    delta: float,
-) -> tuple[float, int, tuple[int, ...]]:
-    """Worst Delta over every vertex and every sign-branch assignment."""
-    best = (0.0, min(circuits), ())
-    for vertex, circuit in circuits.items():
-        k = circuit.splitter_count
-        if k == 0:
+    Row 0 of the composed matrix is all the realized projector needs, so the
+    layers act on that one row, last layer first, for every sign branch and
+    delta at once.  Shifted transmissions are checked and clamped as
+    `compose` does.
+    """
+    rows = np.zeros((circuit.dim, len(branches), len(deltas)))
+    rows[0] = 1.0
+    signs = 1.0 - 2.0 * branches
+    ordinal = circuit.splitter_count
+    for layer in reversed(circuit.layers):
+        if isinstance(layer, PathPermutation):
+            rows = rows[list(layer.targets)]
             continue
-        for branch in _all_branches(k):
-            d = _vertex_distance(circuit, projectors[vertex], delta, branch)
-            if d > best[0]:
-                best = (d, vertex, branch)
-    return best
+        ordinal -= 1
+        shifted = layer.transmission + signs[:, ordinal, None] * deltas
+        # the initial values lie inside [0,1], so an empty delta grid passes
+        low, high = shifted.min(initial=1.0), shifted.max(initial=0.0)
+        if low < -1e-12 or high > 1.0 + 1e-12:
+            j, i = np.argwhere((shifted < -1e-12) | (shifted > 1.0 + 1e-12))[0]
+            raise ValueError(
+                f"delta={deltas[i]} pushes splitter {ordinal} transmission to {shifted[j, i]}, "
+                "outside [0,1]"
+            )
+        if low < 0.0 or high > 1.0:
+            shifted = np.clip(shifted, 0.0, 1.0)
+        t, r = np.sqrt(shifted), np.sqrt(1.0 - shifted)
+        (s11, s12), (s21, s22) = layer.pattern
+        a, b = rows[layer.mode_a], rows[layer.mode_b]
+        rows[layer.mode_a], rows[layer.mode_b] = (
+            s11 * t * a + s21 * r * b,
+            s12 * r * a + s22 * t * b,
+        )
+    return rows
+
+
+def _residual_sines(
+    circuit: InterferometerCircuit,
+    vector: np.ndarray,
+    deltas: np.ndarray,
+    branches: np.ndarray,
+) -> np.ndarray:
+    """Delta_i for every (branch, delta): the sine ||v - (u.v) u||, shape (branches, deltas).
+
+    u is the first row of the noisy cascade.  For rank-one projectors the
+    spectral distance is this sine; the orthogonal residual keeps it
+    accurate near 0, where sqrt(1 - (u.v)^2) is not.
+    """
+    u = _first_rows(circuit, deltas, branches)
+    v = vector[:, None, None]
+    residual = v - (u * v).sum(axis=0) * u
+    return np.sqrt((residual * residual).sum(axis=0))
 
 
 def distance_curves(n: int, delta_grid: Sequence[float]) -> list[DistanceCurve]:
@@ -141,23 +184,18 @@ def distance_curves(n: int, delta_grid: Sequence[float]) -> list[DistanceCurve]:
     ms = builtin_measurements(n)
     circuits = builtin_circuits(n)
     grid = [float(d) for d in delta_grid]
+    deltas = np.array(grid)
     curves = []
     for vertex in sorted(circuits):
         circuit = circuits[vertex]
-        projector = ms.projector(vertex)
         k = circuit.splitter_count
-        if k == 0:
-            samples = tuple(
-                (d, _vertex_distance(circuit, projector, d, ())) for d in grid
+        branches = _branches(k)[: 2 ** max(k - 1, 0)]
+        distances = _residual_sines(circuit, ms.vectors[vertex], deltas, branches)
+        for branch, row in zip(branches, distances):
+            samples = tuple(zip(grid, row.tolist()))
+            curves.append(
+                DistanceCurve(vertex, tuple(branch.tolist()), samples, permutation_only=k == 0)
             )
-            curves.append(DistanceCurve(vertex, (), samples, permutation_only=True))
-            continue
-        for tail in _all_branches(k - 1):
-            branch = (0, *tail)
-            samples = tuple(
-                (d, _vertex_distance(circuit, projector, d, branch)) for d in grid
-            )
-            curves.append(DistanceCurve(vertex, branch, samples))
     return curves
 
 
@@ -172,16 +210,27 @@ def delta_threshold(n: int, epsilon: float) -> ThresholdResult:
         raise ValueError("epsilon must be positive: without a violation there is nothing to protect")
     ms = builtin_measurements(n)
     circuits = builtin_circuits(n)
-    projectors = {v: ms.projector(v) for v in circuits}
+    family = [
+        (vertex, circuit, ms.vectors[vertex], _branches(circuit.splitter_count))
+        for vertex, circuit in sorted(circuits.items())
+        if circuit.splitter_count
+    ]
+    labels = [(vertex, tuple(b.tolist())) for vertex, _, _, branches in family for b in branches]
+
+    def distances(deltas: np.ndarray) -> np.ndarray:
+        """Delta for every (vertex, branch) of the family, in `labels` order, per delta."""
+        return np.concatenate([_residual_sines(c, v, deltas, b) for _, c, v, b in family])
 
     probe_hi = min(c.delta_validity() for c in circuits.values())
     grid = np.linspace(0.0, probe_hi, _PROBE_POINTS)
-    values = [_max_distance(circuits, projectors, d)[0] for d in grid]
+    probed = distances(grid)
+    values = probed.max(axis=0)
+    evaluations = len(grid)
     if min(np.diff(values)) < -1e-12:
         raise ValueError("max distance curve is not monotone on the probed grid; refusing to bisect")
 
-    above = [i for i, v in enumerate(values) if v > epsilon]
-    if not above:
+    above = np.flatnonzero(values > epsilon)
+    if not len(above):
         raise ValueError(
             f"epsilon={epsilon} is never exceeded within the valid delta range "
             f"[0, {probe_hi:.4g}]; the threshold is unbounded there"
@@ -189,17 +238,22 @@ def delta_threshold(n: int, epsilon: float) -> ThresholdResult:
     first = above[0]
     lo = float(grid[first - 1]) if first else 0.0
     hi = float(grid[first])
+    at_hi = probed[:, first]
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if _max_distance(circuits, projectors, mid)[0] <= epsilon:
+        at_mid = distances(np.array([mid]))[:, 0]
+        evaluations += 1
+        if at_mid.max() <= epsilon:
             lo = mid
         else:
-            hi = mid
-    _, vertex, branch = _max_distance(circuits, projectors, hi)
+            hi, at_hi = mid, at_mid
+    vertex, branch = labels[int(np.argmax(at_hi))]
     return ThresholdResult(
         delta_th=0.5 * (lo + hi),
         epsilon_used=epsilon,
         binding_vertex=vertex,
         binding_phi=branch,
         solver_tolerance=1e-6,
+        bracket=(lo, hi),
+        evaluations=evaluations,
     )

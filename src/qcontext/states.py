@@ -168,8 +168,11 @@ def beta_value(ms: MeasurementSet, rho: np.ndarray) -> BoundsReport:
 
 
 @lru_cache(maxsize=None)
-def per_vertex_exact(n: int) -> dict[int, Fraction]:
-    """Exact squared overlaps |<v_i|eta>|^2 as rationals."""
+def per_vertex_exact(n: int) -> Mapping[int, Fraction]:
+    """Exact squared overlaps |<v_i|eta>|^2 as rationals.
+
+    The result is cached and shared, so it is a read-only mapping.
+    """
     eta, vectors = _exact_vectors(n)
     out = {}
     for i, v in vectors.items():
@@ -183,7 +186,7 @@ def per_vertex_exact(n: int) -> dict[int, Fraction]:
                 f"({text})**2/{v[0] * eta[0]}"
             )
         out[i] = Fraction(sum(c * c * m for m, c in terms.items()), v[0] * eta[0])
-    return out
+    return MappingProxyType(out)
 
 
 def beta_quantum_exact(n: int) -> Fraction:

@@ -62,6 +62,9 @@ def test_ofnc_exact_threshold(capsys):
     assert doc["delta_th"] == pytest.approx(0.0164974, abs=1e-6)
     assert doc["binding_vertex"] == 1
     assert doc["binding_phi"] in ("01", "11")
+    lo, hi = doc["bracket"]
+    assert hi - lo <= 1e-7 and lo <= doc["delta_th"] <= hi
+    assert doc["evaluations"] == 67
     assert len(doc["curves"]) == 6
 
 

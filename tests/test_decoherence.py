@@ -331,6 +331,14 @@ def test_no_violation_no_threshold():
         noise_threshold(degraded, build_encoding(SINGLE_QUDIT, 4), AMPLITUDE)
 
 
+def test_no_crossing_no_threshold():
+    # state and every vector on |0>, which amplitude damping leaves alone: beta = 5 throughout
+    e0 = np.array([1.0, 0.0, 0.0])
+    fixed = MeasurementSet(n=5, dim=3, state=e0, vectors={i: e0 for i in range(1, 6)})
+    with pytest.raises(ValueError, match="never reaches the classical bound"):
+        noise_threshold(fixed, build_encoding(SINGLE_QUDIT, 3), AMPLITUDE)
+
+
 # ---------------------------------------------------------------------------
 # epsilon_th sweeps
 

@@ -8,12 +8,14 @@ dense-grid bisection oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qcontext.graphs import penalty_denominator
+from qcontext import ofnc
 from qcontext.interferometer import builtin_circuit, builtin_circuits, compose
 from qcontext.ofnc import (
     delta_threshold,
@@ -234,6 +236,14 @@ def test_threshold_is_the_last_safe_delta(n, epsilon):
 
     assert worst(result.delta_th - 1e-6) <= epsilon + 1e-12
     assert worst(result.delta_th + 1e-6) > epsilon
+    # the reported bracket is the bisection's final one and straddles epsilon
+    lo, hi = result.bracket
+    assert hi - lo <= 1e-7
+    assert lo <= result.delta_th <= hi
+    assert worst(lo) <= epsilon < worst(hi)
+    # the 50-point probe plus one evaluation per halving of a probe step
+    probe_step = min(c.delta_validity() for c in circuits.values()) / 49
+    assert result.evaluations == 50 + math.ceil(math.log2(probe_step / 1e-7))
 
 
 def test_threshold_epsilon_guards():
@@ -241,6 +251,14 @@ def test_threshold_epsilon_guards():
         delta_threshold(5, 0.0)
     with pytest.raises(ValueError, match="never exceeded"):
         delta_threshold(5, 10.0)
+
+
+def test_threshold_refuses_a_non_monotone_curve(monkeypatch):
+    # a worst-branch curve that falls somewhere on the probe grid is not bisected
+    sines = ofnc._residual_sines
+    monkeypatch.setattr(ofnc, "_residual_sines", lambda *args: 1.0 - sines(*args))
+    with pytest.raises(ValueError, match="not monotone on the probed grid"):
+        delta_threshold(5, 1 / 45)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,13 @@ def test_builtin_measurements_are_read_only():
     assert builtin_measurements(6).vectors[2].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
+def test_per_vertex_exact_is_read_only():
+    # the overlaps are cached too: a write used to change beta_quantum_exact
+    with pytest.raises(TypeError):
+        per_vertex_exact(5)[1] = 0
+    assert beta_quantum_exact(5) == Fraction(19, 9)
+
+
 def test_unknown_n_rejected():
     with pytest.raises(ValueError, match="no published measurement vectors"):
         builtin_measurements(7)
